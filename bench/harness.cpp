@@ -126,8 +126,15 @@ DieCalibration calibrate_die(const core::RfAbmChipConfig& config,
 }
 
 DutSession::DutSession(const core::RfAbmChipConfig& config, const DieCalibration& cal,
-                       const core::OperatingConditions& env, core::MeasureOptions options)
+                       const core::OperatingConditions& env, core::MeasureOptions options,
+                       const rfabm::exec::CellAttempt* attempt)
     : chip(config, env, cal.corner), controller(chip, options) {
+    if (attempt != nullptr) {
+        // Wire the watchdog into the solver: the token aborts a hung solve,
+        // the heartbeat proves progress from the first Newton iteration.
+        chip.engine().options().cancel = attempt->token;
+        chip.engine().options().heartbeat = attempt->heartbeat;
+    }
     controller.open_session();
     controller.apply_tune_p(cal.tune_p);
     controller.apply_tune_f(cal.tune_f);

@@ -146,9 +146,13 @@ DieCalibration calibrate_die(const core::RfAbmChipConfig& config,
 
 /// Build a chip session for a calibrated die at given conditions: opens the
 /// 1149.4 session and programs the stored tuning voltages over the bus.
+/// A supervised cell passes its @p attempt: the attempt's token and
+/// heartbeat reach the solver before the session's operating point is
+/// solved, so a watchdog sees the session open as progress.
 struct DutSession {
     DutSession(const core::RfAbmChipConfig& config, const DieCalibration& cal,
-               const core::OperatingConditions& env, core::MeasureOptions options = {});
+               const core::OperatingConditions& env, core::MeasureOptions options = {},
+               const rfabm::exec::CellAttempt* attempt = nullptr);
 
     core::RfAbmChip chip;
     core::MeasurementController controller;
@@ -372,11 +376,7 @@ class Exec {
                     core::MeasureOptions mopts;
                     mopts.cancel = att.token;
                     mopts.surrogate = surrogate_binding(config, cal.corner, envs[e]);
-                    DutSession dut(config, cal, envs[e], mopts);
-                    // Wire the watchdog into the solver: the token aborts a
-                    // hung solve, the heartbeat proves per-step progress.
-                    dut.chip.engine().options().cancel = att.token;
-                    dut.chip.engine().options().heartbeat = att.heartbeat;
+                    DutSession dut(config, cal, envs[e], mopts, &att);
                     metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
                     R r = cell(dut, d, e);
                     metrics_.add_newton(dut.chip.engine().newton_iterations());

@@ -2,11 +2,15 @@
 // that determine how fast the figure harnesses run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "circuit/dc.hpp"
 #include "circuit/devices/mosfet.hpp"
 #include "circuit/devices/passive.hpp"
 #include "circuit/devices/sources.hpp"
 #include "circuit/matrix.hpp"
+#include "circuit/mna.hpp"
 #include "circuit/transient.hpp"
 #include "core/chip.hpp"
 #include "core/measurement.hpp"
@@ -37,6 +41,95 @@ void BM_LuSolve(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LuSolve)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+/// The full chip's Newton system, stamped at the iterate a settled session
+/// reaches 10 ns into a 0 dBm, 1.5 GHz read (41 unknowns, 138 non-zeros).
+circuit::MnaSystem capture_chip_system() {
+    core::RfAbmChip chip{core::RfAbmChipConfig{}};
+    core::MeasurementController ctl(chip);
+    ctl.open_session();
+    chip.set_rf(0.0, 1.5e9);
+    auto& engine = chip.engine();
+    engine.run_for(10e-9);
+    bool limited = false;
+    circuit::StampContext ctx;
+    ctx.mode = circuit::AnalysisMode::kTransient;
+    ctx.x = &engine.solution();
+    ctx.dt = engine.options().dt;
+    ctx.time = engine.time() + ctx.dt;
+    ctx.method = engine.options().method;
+    ctx.gmin = engine.options().gmin;
+    ctx.limited = &limited;
+    Circuit& ckt = engine.circuit();
+    circuit::MnaSystem sys;
+    sys.reset(ckt.num_nodes(), ckt.num_branches());
+    for (const auto& dev : ckt.devices()) dev->stamp(sys, ctx);
+    return sys;
+}
+
+/// One Newton iteration's linear solve on the chip system: arg 0 is the
+/// dense partial-pivoting LU (copy + factor + solve), arg 1 the sparse
+/// refactorization along the compiled schedule (gather + factor + solve).
+void BM_LuSolveFullChip(benchmark::State& state) {
+    circuit::MnaSystem sys = capture_chip_system();
+    const circuit::DenseMatrix<double> dense = sys.matrix().to_dense();
+    const std::size_t n = dense.rows();
+    const bool sparse = state.range(0) != 0;
+    std::vector<double> b;
+    if (sparse) {
+        b = sys.rhs();
+        sys.matrix().solve(b);  // symbolic analysis, outside the timed loop
+    }
+    for (auto _ : state) {
+        b = sys.rhs();
+        if (sparse) {
+            sys.matrix().solve(b);
+        } else {
+            circuit::DenseMatrix<double> a = dense;
+            circuit::lu_solve_in_place(a, b);
+            benchmark::DoNotOptimize(a(0, 0));
+        }
+        benchmark::DoNotOptimize(b.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(sparse ? "sparse" : "dense");
+    state.counters["n"] = static_cast<double>(n);
+    state.counters["nnz"] = static_cast<double>(sys.matrix().nonzeros());
+    if (sparse) {
+        state.counters["lu_entries"] = static_cast<double>(sys.matrix().factor_entries());
+        state.counters["updates"] = static_cast<double>(sys.matrix().update_ops());
+        state.counters["analyses"] = static_cast<double>(sys.matrix().analyses());
+    } else {
+        // Structural L + U of natural-order partial pivoting: the pivot
+        // rows lu_solve_in_place picks, with every structurally non-zero
+        // position (stored or filled) counted.
+        circuit::DenseMatrix<double> a = dense;
+        std::vector<char> nz(n * n);
+        for (std::size_t i = 0; i < n * n; ++i) nz[i] = dense(i / n, i % n) != 0.0;
+        for (std::size_t col = 0; col < n; ++col) {
+            std::size_t piv = col;
+            for (std::size_t r = col + 1; r < n; ++r) {
+                if (std::fabs(a(r, col)) > std::fabs(a(piv, col))) piv = r;
+            }
+            for (std::size_t c = 0; c < n; ++c) {
+                std::swap(a(piv, c), a(col, c));
+                std::swap(nz[piv * n + c], nz[col * n + c]);
+            }
+            for (std::size_t r = col + 1; r < n; ++r) {
+                if (!nz[r * n + col]) continue;
+                const double f = a(r, col) / a(col, col);
+                for (std::size_t c = col + 1; c < n; ++c) {
+                    a(r, c) -= f * a(col, c);
+                    nz[r * n + c] = nz[r * n + c] || nz[col * n + c];
+                }
+            }
+        }
+        state.counters["lu_entries"] =
+            static_cast<double>(std::count(nz.begin(), nz.end(), char{1}));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LuSolveFullChip)->Arg(0)->Arg(1);
 
 // ----------------------------------------------------------- MOSFET eval
 

@@ -1,6 +1,6 @@
-// Dense matrix with LU factorization, the linear-algebra core of the MNA
-// solver.  Circuits in this library are small (tens of unknowns), so a dense
-// partial-pivoting LU is both simpler and faster than a sparse package.
+// Dense matrix with partial-pivoting LU.  It solves the complex AC
+// small-signal systems and serves as the reference oracle for the sparse
+// solver (sparse_lu.hpp) that the real-valued Newton iterations use.
 #pragma once
 
 #include <cmath>
@@ -34,6 +34,18 @@ class DenseMatrix {
         cols_ = cols;
         data_.assign(rows * cols, T{});
     }
+
+    /// Shape n x n and zero, reusing the storage when the shape is kept.
+    void reset(std::size_t n) {
+        if (rows_ == n && cols_ == n) {
+            clear();
+        } else {
+            resize(n, n);
+        }
+    }
+
+    /// Accumulate @p v at (@p r, @p c).
+    void add(std::size_t r, std::size_t c, T v) { (*this)(r, c) += v; }
 
   private:
     std::size_t rows_ = 0;

@@ -1,9 +1,10 @@
 // Modified-Nodal-Analysis system assembly.
 //
 // Devices stamp conductances, currents and branch equations into an MnaSystem
-// (real, for DC/transient Newton iterations) or a ComplexMna (for AC
-// small-signal analysis).  Ground rows/columns are suppressed at stamp time so
-// devices never special-case node 0.
+// (real, for DC/transient Newton iterations, held in a SparseLu that keeps its
+// pattern and pivot schedule between iterations) or a ComplexMna (for AC
+// small-signal analysis, held dense).  Ground rows/columns are suppressed at
+// stamp time so devices never special-case node 0.
 #pragma once
 
 #include <complex>
@@ -11,14 +12,16 @@
 #include <vector>
 
 #include "circuit/matrix.hpp"
+#include "circuit/sparse_lu.hpp"
 #include "circuit/types.hpp"
 
 namespace rfabm::circuit {
 
 namespace detail {
 
-/// Shared stamping arithmetic over the element type.
-template <typename T>
+/// Shared stamping arithmetic over the element type T and the matrix that
+/// stores it (reset(n) and add(r, c, v)).
+template <typename T, typename Matrix>
 class MnaBase {
   public:
     MnaBase() = default;
@@ -28,13 +31,8 @@ class MnaBase {
     void reset(std::size_t num_nodes, std::size_t num_branches) {
         num_nodes_ = num_nodes;
         const std::size_t n = num_nodes - 1 + num_branches;
-        if (a_.rows() != n) {
-            a_.resize(n, n);
-            b_.assign(n, T{});
-        } else {
-            a_.clear();
-            std::fill(b_.begin(), b_.end(), T{});
-        }
+        a_.reset(n);
+        b_.assign(n, T{});
     }
 
     std::size_t dimension() const { return b_.size(); }
@@ -53,11 +51,11 @@ class MnaBase {
     void add_conductance(NodeId a, NodeId b, T g) {
         const auto ia = node_index(a);
         const auto ib = node_index(b);
-        if (ia >= 0) a_(ia, ia) += g;
-        if (ib >= 0) a_(ib, ib) += g;
+        if (ia >= 0) a_.add(ia, ia, g);
+        if (ib >= 0) a_.add(ib, ib, g);
         if (ia >= 0 && ib >= 0) {
-            a_(ia, ib) -= g;
-            a_(ib, ia) -= g;
+            a_.add(ia, ib, -g);
+            a_.add(ib, ia, -g);
         }
     }
 
@@ -68,10 +66,10 @@ class MnaBase {
         const auto ion = node_index(out_n);
         const auto icp = node_index(cp);
         const auto icn = node_index(cn);
-        if (iop >= 0 && icp >= 0) a_(iop, icp) += g;
-        if (iop >= 0 && icn >= 0) a_(iop, icn) -= g;
-        if (ion >= 0 && icp >= 0) a_(ion, icp) -= g;
-        if (ion >= 0 && icn >= 0) a_(ion, icn) += g;
+        if (iop >= 0 && icp >= 0) a_.add(iop, icp, g);
+        if (iop >= 0 && icn >= 0) a_.add(iop, icn, -g);
+        if (ion >= 0 && icp >= 0) a_.add(ion, icp, -g);
+        if (ion >= 0 && icn >= 0) a_.add(ion, icn, g);
     }
 
     /// Constant current @p i flowing from node @p a to node @p b through the
@@ -86,7 +84,7 @@ class MnaBase {
     /// Raw diagonal add (gmin stepping).
     void add_node_diagonal(NodeId node, T g) {
         const auto i = node_index(node);
-        if (i >= 0) a_(i, i) += g;
+        if (i >= 0) a_.add(i, i, g);
     }
 
     /// Branch stamping primitives -------------------------------------------
@@ -94,18 +92,18 @@ class MnaBase {
     /// KCL coupling: branch current @p sign * i(branch) leaves node @p node.
     void add_branch_to_node(NodeId node, std::size_t branch, T sign) {
         const auto in = node_index(node);
-        if (in >= 0) a_(in, branch_index(branch)) += sign;
+        if (in >= 0) a_.add(in, branch_index(branch), sign);
     }
 
     /// Branch-equation coefficient on a node voltage.
     void add_node_to_branch(std::size_t branch, NodeId node, T coeff) {
         const auto in = node_index(node);
-        if (in >= 0) a_(branch_index(branch), in) += coeff;
+        if (in >= 0) a_.add(branch_index(branch), in, coeff);
     }
 
     /// Branch-equation coefficient on a branch current.
     void add_branch_to_branch(std::size_t eq_branch, std::size_t cur_branch, T coeff) {
-        a_(branch_index(eq_branch), branch_index(cur_branch)) += coeff;
+        a_.add(branch_index(eq_branch), branch_index(cur_branch), coeff);
     }
 
     /// Branch-equation right-hand side.
@@ -113,23 +111,24 @@ class MnaBase {
         b_[static_cast<std::size_t>(branch_index(branch))] += value;
     }
 
-    DenseMatrix<T>& matrix() { return a_; }
+    Matrix& matrix() { return a_; }
     std::vector<T>& rhs() { return b_; }
-    const DenseMatrix<T>& matrix() const { return a_; }
+    const Matrix& matrix() const { return a_; }
     const std::vector<T>& rhs() const { return b_; }
 
   private:
     std::size_t num_nodes_ = 1;
-    DenseMatrix<T> a_;
+    Matrix a_;
     std::vector<T> b_;
 };
 
 }  // namespace detail
 
 /// Real MNA system used by DC and transient Newton iterations.
-using MnaSystem = detail::MnaBase<double>;
+using MnaSystem = detail::MnaBase<double, SparseLu>;
 
 /// Complex MNA system used by AC small-signal analysis.
-using ComplexMna = detail::MnaBase<std::complex<double>>;
+using ComplexMna =
+    detail::MnaBase<std::complex<double>, DenseMatrix<std::complex<double>>>;
 
 }  // namespace rfabm::circuit

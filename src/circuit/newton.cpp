@@ -44,6 +44,9 @@ NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
     ctx.limited = &limited;
     for (int iter = 0; iter < options.max_iterations; ++iter) {
         outcome.iterations = iter + 1;
+        if (options.heartbeat != nullptr) {
+            options.heartbeat->fetch_add(1, std::memory_order_relaxed);
+        }
         scratch.reset(num_nodes, circuit.num_branches());
         ctx.x = &x;
         limited = false;
@@ -55,7 +58,7 @@ NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
         }
         candidate = scratch.rhs();
         try {
-            lu_solve_in_place(scratch.matrix(), candidate);
+            scratch.matrix().solve(candidate);
         } catch (const SingularMatrixError&) {
             outcome.singular = true;
             return outcome;

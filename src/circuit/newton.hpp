@@ -1,6 +1,9 @@
 // Newton-Raphson iteration shared by the DC and transient analyses.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
+
 #include "circuit/circuit.hpp"
 #include "circuit/device.hpp"
 #include "circuit/mna.hpp"
@@ -22,6 +25,9 @@ struct NewtonOptions {
     /// budget is reported as exhausted in the structured outcome rather than
     /// looping.  <= 0 disables the cap.
     int max_total_iterations = 4000;
+    /// Progress heartbeat: incremented once per Newton iteration when set,
+    /// so a watchdog sees a long operating-point solve as alive.
+    std::atomic<std::uint64_t>* heartbeat = nullptr;
 };
 
 /// Result of a Newton solve attempt.
@@ -43,8 +49,10 @@ struct NewtonOutcome {
 
 /// Iterate the MNA system described by @p ctx (whose x pointer is managed by
 /// this function) starting from @p x until convergence.  @p x is updated in
-/// place with the best iterate.  @p scratch is reused across calls to avoid
-/// reallocation in transient inner loops.
+/// place with the best iterate.  @p scratch is reused across calls: it keeps
+/// its allocation and its sparse pattern and pivot schedule, so the owner of
+/// a scratch system (a transient engine, one solve_dc call) pays the
+/// symbolic analysis once, not per iteration.
 NewtonOutcome newton_iterate(Circuit& circuit, StampContext ctx, Solution& x,
                              const NewtonOptions& options, MnaSystem& scratch);
 

@@ -22,6 +22,7 @@ void TransientEngine::init() {
     if (options_.start_from_dc) {
         DcOptions dc_opts;
         dc_opts.newton = options_.newton;
+        dc_opts.newton.heartbeat = options_.heartbeat;
         dc_opts.gmin = options_.gmin;
         const DcResult dc = solve_dc(circuit_, dc_opts);
         newton_iterations_ += static_cast<std::uint64_t>(dc.iterations);

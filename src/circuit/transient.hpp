@@ -53,8 +53,9 @@ struct TransientOptions {
     /// supervision hook the exec-layer watchdog uses to reclaim a worker from
     /// a hung solve.
     rfabm::exec::CancellationToken cancel{};
-    /// Progress heartbeat: incremented once per accepted (sub)step when set.
-    /// A watchdog distinguishes "slow but alive" from "hung" by watching it.
+    /// Progress heartbeat: incremented once per accepted (sub)step, and once
+    /// per Newton iteration of init()'s operating-point solve, when set.  A
+    /// watchdog distinguishes "slow but alive" from "hung" by watching it.
     std::atomic<std::uint64_t>* heartbeat = nullptr;
 };
 

@@ -52,7 +52,7 @@ TEST(Mna, VoltageSourceStampSolvesDivider) {
     sys.add_node_to_branch(0, 1, +1.0);
     sys.add_branch_rhs(0, 2.0);
     std::vector<double> x = sys.rhs();
-    lu_solve_in_place(sys.matrix(), x);
+    sys.matrix().solve(x);
     EXPECT_NEAR(x[0], 2.0, 1e-12);  // v(1)
     EXPECT_NEAR(x[1], 1.0, 1e-12);  // v(2)
     EXPECT_NEAR(x[2], -1.0, 1e-12); // source current (delivering => negative)

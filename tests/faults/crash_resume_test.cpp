@@ -3,6 +3,8 @@
 // run, at jobs=1 and jobs=8, including across a torn journal tail.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <sys/wait.h>
 
 #include <csignal>
@@ -43,8 +45,11 @@ bool died_by_sigkill(int status) {
 class CrashResumeTest : public ::testing::TestWithParam<int> {
   protected:
     void SetUp() override {
-        const std::string stem = ::testing::TempDir() + "rfabm_crashresume_j" +
-                                 std::to_string(GetParam()) + "_";
+        // Named per test, not only per jobs count: ctest runs the tests of
+        // one jobs count as concurrent processes.
+        std::string test = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        std::replace(test.begin(), test.end(), '/', '_');
+        const std::string stem = ::testing::TempDir() + "rfabm_crashresume_" + test + "_";
         clean_journal = stem + "clean.wal";
         crash_journal = stem + "crash.wal";
         clean_out = stem + "clean.txt";

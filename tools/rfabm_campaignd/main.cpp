@@ -611,8 +611,9 @@ int run_shard_inline(const Args& args, const exec::ShardSpec& shard,
         }
         for (auto& fault : injected) fault->arm();
     };
+    // The injected faults hook the campaign's journal writer, which is gone
+    // once the campaign returns: there is nothing left to disarm them from.
     const exec::ResilientResult result = exec::run_resilient_campaign(chains, copts, ropts);
-    for (auto& fault : injected) fault->disarm();
     if (triage_out != nullptr) *triage_out = result.triage;
     // Degraded worker: report through the reserved exit code.  Nothing else
     // this process could persist matters — the supervisor gives the shard up
@@ -767,8 +768,9 @@ int run_rebalance_worker(const Args& args) {
         }
         for (auto& fault : injected) fault->arm();
     };
+    // The injected faults hook the campaign's journal writer, which is gone
+    // once the campaign returns: there is nothing left to disarm them from.
     const exec::ResilientResult result = exec::run_resilient_campaign(chains, copts, ropts);
-    for (auto& fault : injected) fault->disarm();
     if (result.triage.journal.degraded) return kExitJournalDegraded;
     std::size_t cells_total = 0;
     for (const auto& chain : chains) cells_total += chain.cells.size();
